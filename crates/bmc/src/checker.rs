@@ -1,11 +1,12 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use sat::{ProofStep, SatResult, Solver};
+use sat::{ProofStep, SatResult, Solver, SolverStats};
 use taint_lattice::{Lattice, TwoPoint};
 use webssari_ir::AiProgram;
 
 use crate::aux_encoding;
+use crate::counters::XbmcStats;
 use crate::renaming;
 use crate::trace::{path_violating_vars, replay_trace, Counterexample};
 
@@ -55,157 +56,6 @@ impl Default for CheckOptions {
             certify: false,
             budget: None,
         }
-    }
-}
-
-/// Work counters for one verification run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct XbmcStats {
-    /// CNF variables in the encoded program.
-    pub cnf_vars: usize,
-    /// CNF clauses in the encoded program.
-    pub cnf_clauses: usize,
-    /// SAT solver invocations.
-    pub sat_calls: usize,
-    /// Assertions whose enumeration hit the per-assert cap.
-    pub truncated_assertions: usize,
-    /// Total solver conflicts across every solver this check used.
-    pub conflicts: u64,
-    /// Total solver decisions.
-    pub decisions: u64,
-    /// Total solver unit propagations.
-    pub propagations: u64,
-    /// Propagations served by the binary implication lists (a subset
-    /// of `propagations` that never touched the clause arena).
-    pub binary_propagations: u64,
-    /// Total solver restarts.
-    pub restarts: u64,
-    /// Restarts triggered by the glue EMA rather than the Luby budget.
-    pub glue_restarts: u64,
-    /// Learned clauses with LBD ≤ 2 (core tier).
-    pub glue_core: u64,
-    /// Learned clauses with LBD 3–6 (mid tier).
-    pub glue_mid: u64,
-    /// Learned clauses with LBD > 6 (local tier).
-    pub glue_local: u64,
-    /// Live core-tier clauses after the last database reduction,
-    /// summed over solvers (gauge-like; see `absorb_since`).
-    pub tier_core_size: u64,
-    /// Live mid-tier clauses after the last database reduction.
-    pub tier_mid_size: u64,
-    /// Live local-tier clauses after the last database reduction.
-    pub tier_local_size: u64,
-    /// Clauses deleted by backward subsumption during root-level
-    /// inprocessing.
-    pub subsumed_clauses: u64,
-    /// Clauses strengthened by self-subsuming resolution.
-    pub strengthened_clauses: u64,
-    /// Clauses shortened by vivification.
-    pub vivified_clauses: u64,
-    /// Root-level inprocessing rounds run between restarts.
-    pub inprocessing_rounds: u64,
-    /// Long-lived certificate provers created (at most one per
-    /// program: the certify path shares a single proof-logging solver
-    /// across every held assertion instead of cloning per assertion).
-    pub certify_provers: u64,
-    /// Root-level units fixed by formula preprocessing.
-    pub pre_units_fixed: u64,
-    /// Clauses removed by formula preprocessing (tautologies and
-    /// root-satisfied clauses).
-    pub pre_clauses_removed: u64,
-    /// Assertions discharged statically before encoding (filled by the
-    /// screening tier in `webssari-core`; always 0 for a bare check).
-    pub assertions_discharged: u64,
-    /// CNF variables the cone-of-influence slice removed relative to
-    /// encoding the full program (filled by the screening tier).
-    pub cnf_vars_saved: u64,
-    /// Generalized blocking cubes learned by ALLSAT enumeration (one
-    /// per satisfiable solver answer on the renaming path).
-    pub cubes_learned: u64,
-    /// Counterexamples materialized by expanding those cubes back to
-    /// full branch assignments. `cube_assignments / cubes_learned` is
-    /// the mean cover per cube; > 1 means generalization pruned solver
-    /// calls.
-    pub cube_assignments: u64,
-    /// Assertions carrying SQL-structured sink preconditions
-    /// (`AssertKind::SqlStructure`; filled by `webssari-core`).
-    pub sql_assertions_checked: u64,
-    /// Violated assertions whose error trace flows through a store
-    /// cell — second-order (stored) taint (filled by `webssari-core`).
-    pub second_order_flows_found: u64,
-    /// Assertions discharged by the flow-sensitive SSA tier with a
-    /// `flow-clean` proof (filled by the two-stage screening tier in
-    /// `webssari-core`; always 0 for a bare check).
-    pub flow_discharged: u64,
-    /// φ-functions placed while building the pruned SSA form of the
-    /// checked program (filled by `webssari-core`).
-    pub ssa_phis: u64,
-    /// Interprocedural function summaries computed bottom-up over the
-    /// call graph (filled by `webssari-core`).
-    pub summaries_computed: u64,
-    /// Call-site clones materialized for taint-polymorphic callees
-    /// (filled by `webssari-core`).
-    pub contexts_cloned: u64,
-}
-
-impl XbmcStats {
-    /// Total clauses removed by root-level inprocessing (subsumption
-    /// plus the originals replaced by strengthening and vivification).
-    pub fn inprocessing_removed(&self) -> u64 {
-        self.subsumed_clauses + self.strengthened_clauses + self.vivified_clauses
-    }
-
-    /// Folds one solver's work counters into this check's totals.
-    fn absorb(&mut self, s: &sat::SolverStats) {
-        self.conflicts += s.conflicts;
-        self.decisions += s.decisions;
-        self.propagations += s.propagations;
-        self.binary_propagations += s.binary_propagations;
-        self.restarts += s.restarts;
-        self.glue_restarts += s.glue_restarts;
-        self.glue_core += s.glue_core;
-        self.glue_mid += s.glue_mid;
-        self.glue_local += s.glue_local;
-        self.tier_core_size += s.tier_core_size;
-        self.tier_mid_size += s.tier_mid_size;
-        self.tier_local_size += s.tier_local_size;
-        self.subsumed_clauses += s.subsumed_clauses;
-        self.strengthened_clauses += s.strengthened_clauses;
-        self.vivified_clauses += s.vivified_clauses;
-        self.inprocessing_rounds += s.inprocessing_rounds;
-        self.pre_units_fixed += s.pre_units_fixed;
-        self.pre_clauses_removed += s.pre_clauses_removed;
-        self.cubes_learned += s.cube_shrink_calls;
-    }
-
-    /// Folds in only the work a cloned solver did *since* it was cloned
-    /// from a base solver whose own counters were already absorbed —
-    /// the formula is ingested (and preprocessed) once, so the base's
-    /// share must not be counted once per clone.
-    fn absorb_since(&mut self, s: &sat::SolverStats, base: &sat::SolverStats) {
-        self.conflicts += s.conflicts - base.conflicts;
-        self.decisions += s.decisions - base.decisions;
-        self.propagations += s.propagations - base.propagations;
-        self.binary_propagations += s.binary_propagations - base.binary_propagations;
-        self.restarts += s.restarts - base.restarts;
-        self.glue_restarts += s.glue_restarts - base.glue_restarts;
-        self.glue_core += s.glue_core - base.glue_core;
-        self.glue_mid += s.glue_mid - base.glue_mid;
-        self.glue_local += s.glue_local - base.glue_local;
-        // Tier sizes are gauges (live clauses after the last
-        // reduction), not monotone counters: a clone's reduction can
-        // leave fewer live clauses than the base snapshot had.
-        self.tier_core_size += s.tier_core_size.saturating_sub(base.tier_core_size);
-        self.tier_mid_size += s.tier_mid_size.saturating_sub(base.tier_mid_size);
-        self.tier_local_size += s.tier_local_size.saturating_sub(base.tier_local_size);
-        self.subsumed_clauses += s.subsumed_clauses - base.subsumed_clauses;
-        self.strengthened_clauses += s.strengthened_clauses - base.strengthened_clauses;
-        self.vivified_clauses += s.vivified_clauses - base.vivified_clauses;
-        self.inprocessing_rounds += s.inprocessing_rounds - base.inprocessing_rounds;
-        self.pre_units_fixed += s.pre_units_fixed - base.pre_units_fixed;
-        self.pre_clauses_removed += s.pre_clauses_removed - base.pre_clauses_removed;
-        self.cubes_learned += s.cube_shrink_calls - base.cube_shrink_calls;
     }
 }
 
@@ -350,7 +200,7 @@ impl<'a> Xbmc<'a> {
         let base_stats = *base_solver.stats();
         // The base's own work (preprocessing, root propagation) counts
         // once; clones later report only their delta over this.
-        result.stats.absorb(&base_stats);
+        result.stats.absorb(&base_stats, &SolverStats::default());
         let mut shared_solver = if self.options.fresh_solver_per_assert {
             None
         } else {
@@ -442,7 +292,7 @@ impl<'a> Xbmc<'a> {
                 }
             }
             if self.options.fresh_solver_per_assert {
-                result.stats.absorb_since(solver.stats(), &base_stats);
+                result.stats.absorb(solver.stats(), &base_stats);
             }
             if result.interrupted {
                 // Stop checking further assertions: the engine will
@@ -496,10 +346,10 @@ impl<'a> Xbmc<'a> {
             result.counterexamples.extend(found);
         }
         if let Some(s) = &shared_solver {
-            result.stats.absorb_since(s.stats(), &base_stats);
+            result.stats.absorb(s.stats(), &base_stats);
         }
         if let Some(p) = &cert_prover {
-            result.stats.absorb_since(p.stats(), &base_stats);
+            result.stats.absorb(p.stats(), &base_stats);
         }
         if self.options.certify {
             result.certified_formula = Some(Arc::new(enc.formula));
@@ -608,7 +458,7 @@ impl<'a> Xbmc<'a> {
                 SatResult::Unsat | SatResult::Unknown => {}
             }
         }
-        result.stats.absorb(solver.stats());
+        result.stats.absorb(solver.stats(), &SolverStats::default());
         result
     }
 }

@@ -44,10 +44,12 @@
 
 pub mod aux_encoding;
 mod checker;
+pub mod counters;
 pub mod renaming;
 mod trace;
 mod typevec;
 
-pub use checker::{Certificate, CheckOptions, CheckResult, EncoderKind, Xbmc, XbmcStats};
+pub use checker::{Certificate, CheckOptions, CheckResult, EncoderKind, Xbmc};
+pub use counters::XbmcStats;
 pub use trace::{path_violating_vars, replay_trace, Counterexample, TraceStep};
 pub use typevec::TypeVec;

@@ -1,7 +1,6 @@
 //! Shared JSON rendering of verification results.
 //!
-//! The vendored serde derive is inert (see `vendor/README.md`), so
-//! reports serialize by hand through [`jsonio`]. This module is the
+//! Reports serialize by hand through [`jsonio`]. This module is the
 //! single source of truth for the JSON shape of a [`FileSummary`]: the
 //! batch engine's cache file and the `webssari-serve` HTTP API both
 //! render through it, so a summary written by one is readable by the

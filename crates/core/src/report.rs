@@ -2,7 +2,6 @@
 
 use std::fmt::Write as _;
 
-use serde::{Deserialize, Serialize};
 use webssari_ir::AiProgram;
 
 use fixes::FixPlan;
@@ -12,7 +11,7 @@ use xbmc::CheckResult;
 /// One reported vulnerability group: a root cause and the symptoms it
 /// explains. This is the unit the paper's "BMC-reported errors" column
 /// counts.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Vulnerability {
     /// Vulnerability class (`"xss"`, `"sqli"`, `"shell"`, …).
     pub class: String,
@@ -29,7 +28,7 @@ pub struct Vulnerability {
 }
 
 /// How verifying one file concluded.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FileOutcome {
     /// Every assertion holds — the sound "absence of bugs" guarantee.
     Verified,
@@ -173,7 +172,7 @@ impl FileReport {
 }
 
 /// Serializable per-file summary.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FileSummary {
     /// File name.
     pub file: String,

@@ -1,7 +1,5 @@
 //! Project profiles: Figure 10 verbatim, plus the rest of the 230.
 
-use serde::{Deserialize, Serialize};
-
 /// How much filler the generator adds around the calibrated
 /// vulnerability structure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -15,7 +13,7 @@ pub enum CorpusScale {
 }
 
 /// A project's calibration parameters.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProjectProfile {
     /// Project name (Figure 10 names for the 38 acknowledged ones).
     pub name: String,

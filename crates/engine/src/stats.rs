@@ -12,6 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use webssari_core::{FileOutcome, FileSummary};
+use xbmc::XbmcStats;
 
 /// Cumulative engine counters shared across batches. Cloning shares
 /// the underlying counters (the handle and its workers all write to
@@ -34,29 +35,17 @@ struct Counters {
     files_timeout: AtomicU64,
     files_parse_error: AtomicU64,
     verify_micros: AtomicU64,
-    conflicts: AtomicU64,
-    decisions: AtomicU64,
-    propagations: AtomicU64,
-    binary_propagations: AtomicU64,
-    restarts: AtomicU64,
-    glue_restarts: AtomicU64,
-    glue_core: AtomicU64,
-    glue_mid: AtomicU64,
-    glue_local: AtomicU64,
-    inprocessing_removed: AtomicU64,
-    sat_calls: AtomicU64,
-    pre_units_fixed: AtomicU64,
-    pre_clauses_removed: AtomicU64,
-    assertions_discharged: AtomicU64,
-    cnf_vars_saved: AtomicU64,
-    cubes_learned: AtomicU64,
-    cube_assignments: AtomicU64,
-    sql_assertions_checked: AtomicU64,
-    second_order_flows_found: AtomicU64,
-    flow_discharged: AtomicU64,
-    ssa_phis: AtomicU64,
-    summaries_computed: AtomicU64,
-    contexts_cloned: AtomicU64,
+    work: WorkCounters,
+}
+
+/// One slot per row of [`xbmc::counters::COUNTERS`].
+#[derive(Debug)]
+struct WorkCounters([AtomicU64; XbmcStats::LEN]);
+
+impl Default for WorkCounters {
+    fn default() -> Self {
+        WorkCounters(std::array::from_fn(|_| AtomicU64::new(0)))
+    }
 }
 
 /// One point-in-time read of [`EngineStats`]. Individual fields are
@@ -86,57 +75,8 @@ pub struct EngineSnapshot {
     pub files_parse_error: u64,
     /// Total wall time spent verifying files, in microseconds.
     pub verify_micros: u64,
-    /// SAT solver conflicts.
-    pub conflicts: u64,
-    /// SAT solver decisions.
-    pub decisions: u64,
-    /// SAT solver unit propagations.
-    pub propagations: u64,
-    /// Propagations served by the solver's binary implication lists (a
-    /// subset of `propagations` that never touched the clause arena).
-    pub binary_propagations: u64,
-    /// SAT solver restarts.
-    pub restarts: u64,
-    /// Restarts triggered by the glue EMA rather than the Luby budget.
-    pub glue_restarts: u64,
-    /// Learned clauses that entered the core glue tier (LBD ≤ 2).
-    pub glue_core: u64,
-    /// Learned clauses that entered the mid glue tier (LBD 3–6).
-    pub glue_mid: u64,
-    /// Learned clauses that entered the local glue tier (LBD > 6).
-    pub glue_local: u64,
-    /// Clauses removed by root-level inprocessing (subsumption,
-    /// strengthening, vivification).
-    pub inprocessing_removed: u64,
-    /// SAT solver invocations.
-    pub sat_calls: u64,
-    /// Root-level unit literals fixed by formula preprocessing.
-    pub pre_units_fixed: u64,
-    /// Clauses removed by formula preprocessing before attachment.
-    pub pre_clauses_removed: u64,
-    /// Assertions discharged statically by the screening tier.
-    pub assertions_discharged: u64,
-    /// CNF variables the cone-of-influence slice removed.
-    pub cnf_vars_saved: u64,
-    /// Generalized blocking cubes learned by ALLSAT enumeration.
-    pub cubes_learned: u64,
-    /// Counterexamples materialized by expanding those cubes.
-    pub cube_assignments: u64,
-    /// Assertions checked with SQL query-structure semantics
-    /// (concatenated-into-query-text sink arguments).
-    pub sql_assertions_checked: u64,
-    /// Violated assertions whose counterexample trace reads a
-    /// cross-request store cell (second-order flows).
-    pub second_order_flows_found: u64,
-    /// Assertions discharged by the flow-sensitive SSA tier with a
-    /// `flow-clean` proof.
-    pub flow_discharged: u64,
-    /// φ-functions placed building pruned SSA across verified files.
-    pub ssa_phis: u64,
-    /// Interprocedural function summaries computed bottom-up.
-    pub summaries_computed: u64,
-    /// Call-site clones materialized for taint-polymorphic callees.
-    pub contexts_cloned: u64,
+    /// Work counters summed over every freshly verified file.
+    pub work: XbmcStats,
 }
 
 impl EngineSnapshot {
@@ -181,29 +121,7 @@ impl EngineStats {
             files_timeout: load(&c.files_timeout),
             files_parse_error: load(&c.files_parse_error),
             verify_micros: load(&c.verify_micros),
-            conflicts: load(&c.conflicts),
-            decisions: load(&c.decisions),
-            propagations: load(&c.propagations),
-            binary_propagations: load(&c.binary_propagations),
-            restarts: load(&c.restarts),
-            glue_restarts: load(&c.glue_restarts),
-            glue_core: load(&c.glue_core),
-            glue_mid: load(&c.glue_mid),
-            glue_local: load(&c.glue_local),
-            inprocessing_removed: load(&c.inprocessing_removed),
-            sat_calls: load(&c.sat_calls),
-            pre_units_fixed: load(&c.pre_units_fixed),
-            pre_clauses_removed: load(&c.pre_clauses_removed),
-            assertions_discharged: load(&c.assertions_discharged),
-            cnf_vars_saved: load(&c.cnf_vars_saved),
-            cubes_learned: load(&c.cubes_learned),
-            cube_assignments: load(&c.cube_assignments),
-            sql_assertions_checked: load(&c.sql_assertions_checked),
-            second_order_flows_found: load(&c.second_order_flows_found),
-            flow_discharged: load(&c.flow_discharged),
-            ssa_phis: load(&c.ssa_phis),
-            summaries_computed: load(&c.summaries_computed),
-            contexts_cloned: load(&c.contexts_cloned),
+            work: XbmcStats::from_values(c.work.0.each_ref().map(load)),
         }
     }
 
@@ -236,7 +154,7 @@ impl EngineStats {
         &self,
         outcome: FileOutcome,
         duration: Duration,
-        stats: Option<&xbmc::XbmcStats>,
+        stats: Option<&XbmcStats>,
     ) {
         self.inner.cache_misses.fetch_add(1, Ordering::Relaxed);
         self.record_outcome(outcome);
@@ -245,69 +163,9 @@ impl EngineStats {
             Ordering::Relaxed,
         );
         if let Some(s) = stats {
-            self.inner
-                .conflicts
-                .fetch_add(s.conflicts, Ordering::Relaxed);
-            self.inner
-                .decisions
-                .fetch_add(s.decisions, Ordering::Relaxed);
-            self.inner
-                .propagations
-                .fetch_add(s.propagations, Ordering::Relaxed);
-            self.inner
-                .binary_propagations
-                .fetch_add(s.binary_propagations, Ordering::Relaxed);
-            self.inner.restarts.fetch_add(s.restarts, Ordering::Relaxed);
-            self.inner
-                .glue_restarts
-                .fetch_add(s.glue_restarts, Ordering::Relaxed);
-            self.inner
-                .glue_core
-                .fetch_add(s.glue_core, Ordering::Relaxed);
-            self.inner.glue_mid.fetch_add(s.glue_mid, Ordering::Relaxed);
-            self.inner
-                .glue_local
-                .fetch_add(s.glue_local, Ordering::Relaxed);
-            self.inner
-                .inprocessing_removed
-                .fetch_add(s.inprocessing_removed(), Ordering::Relaxed);
-            self.inner
-                .sat_calls
-                .fetch_add(s.sat_calls as u64, Ordering::Relaxed);
-            self.inner
-                .pre_units_fixed
-                .fetch_add(s.pre_units_fixed, Ordering::Relaxed);
-            self.inner
-                .pre_clauses_removed
-                .fetch_add(s.pre_clauses_removed, Ordering::Relaxed);
-            self.inner
-                .assertions_discharged
-                .fetch_add(s.assertions_discharged, Ordering::Relaxed);
-            self.inner
-                .cnf_vars_saved
-                .fetch_add(s.cnf_vars_saved, Ordering::Relaxed);
-            self.inner
-                .cubes_learned
-                .fetch_add(s.cubes_learned, Ordering::Relaxed);
-            self.inner
-                .cube_assignments
-                .fetch_add(s.cube_assignments, Ordering::Relaxed);
-            self.inner
-                .sql_assertions_checked
-                .fetch_add(s.sql_assertions_checked, Ordering::Relaxed);
-            self.inner
-                .second_order_flows_found
-                .fetch_add(s.second_order_flows_found, Ordering::Relaxed);
-            self.inner
-                .flow_discharged
-                .fetch_add(s.flow_discharged, Ordering::Relaxed);
-            self.inner.ssa_phis.fetch_add(s.ssa_phis, Ordering::Relaxed);
-            self.inner
-                .summaries_computed
-                .fetch_add(s.summaries_computed, Ordering::Relaxed);
-            self.inner
-                .contexts_cloned
-                .fetch_add(s.contexts_cloned, Ordering::Relaxed);
+            for (counter, value) in self.inner.work.0.iter().zip(s.values()) {
+                counter.fetch_add(value, Ordering::Relaxed);
+            }
         }
     }
 

@@ -1,7 +1,5 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// An element of a finite lattice, identified by its index.
 ///
 /// `Elem` is just a validated index; which lattice it belongs to is
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(e.index(), 3);
 /// assert_eq!(e.to_string(), "τ3");
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Elem(u32);
 
 impl Elem {
