@@ -65,14 +65,6 @@ pub struct SolverStats {
     pub cube_lits_dropped: u64,
 }
 
-impl SolverStats {
-    /// Total clauses removed by inprocessing (subsumption plus the
-    /// originals replaced by strengthening/vivification shortening).
-    pub fn inprocessing_removed(&self) -> u64 {
-        self.subsumed_clauses + self.strengthened_clauses + self.vivified_clauses
-    }
-}
-
 impl fmt::Display for SolverStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -117,22 +109,10 @@ mod tests {
         assert_eq!(s.decisions, 0);
         assert_eq!(s.conflicts, 0);
         assert_eq!(s.binary_propagations, 0);
-        assert_eq!(s.inprocessing_removed(), 0);
     }
 
     #[test]
     fn display_is_nonempty() {
         assert!(SolverStats::default().to_string().contains("decisions=0"));
-    }
-
-    #[test]
-    fn inprocessing_removed_sums_categories() {
-        let s = SolverStats {
-            subsumed_clauses: 3,
-            strengthened_clauses: 2,
-            vivified_clauses: 1,
-            ..SolverStats::default()
-        };
-        assert_eq!(s.inprocessing_removed(), 6);
     }
 }
