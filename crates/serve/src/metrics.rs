@@ -22,9 +22,11 @@ pub const ROUTES: [&str; 5] = ["/verify", "/batch", "/healthz", "/metrics", "oth
 
 /// Fixed histogram bucket bounds (seconds) for request latency. The
 /// implicit `+Inf` bucket is appended at render time. Fixed bounds
-/// keep scrapes comparable across restarts and across instances.
-pub const LATENCY_BUCKETS: [f64; 12] = [
-    0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
+/// keep scrapes comparable across restarts and across instances. The
+/// sub-millisecond bounds resolve warm cache hits answered inline.
+pub const LATENCY_BUCKETS: [f64; 16] = [
+    0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
+    5.0, 10.0,
 ];
 
 /// Cumulative observation counts for one route's latency histogram.
@@ -66,9 +68,9 @@ pub struct ServerMetrics {
     connections_total: AtomicU64,
     rejected_total: AtomicU64,
     in_flight: AtomicU64,
-    /// Event mode: currently open connections (set by the event loop).
+    /// Currently open connections (set by the event loop).
     connections_open: AtomicU64,
-    /// Event mode: open connections idle between keep-alive requests.
+    /// Open connections idle between keep-alive requests.
     connections_idle: AtomicU64,
     /// `(route, status) -> count`.
     requests: Mutex<BTreeMap<(&'static str, u16), u64>>,
@@ -106,7 +108,7 @@ impl ServerMetrics {
         self.in_flight.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Event mode: publishes the connection-set gauges (open sockets
+    /// Publishes the connection-set gauges (open sockets
     /// and how many of them sit idle between keep-alive requests).
     pub fn set_connection_gauges(&self, open: u64, idle: u64) {
         self.connections_open.store(open, Ordering::Relaxed);
@@ -142,12 +144,11 @@ impl ServerMetrics {
     }
 
     /// Renders everything as Prometheus text exposition format 0.0.4.
-    /// `shard_depths` is one entry per event-mode dispatch shard
-    /// (empty in threaded mode).
+    /// `queue_capacity` is the summed capacity of the dispatch shards;
+    /// `shard_depths` has one entry per shard.
     pub fn render_prometheus(
         &self,
         engine: &EngineSnapshot,
-        queue_depth: usize,
         queue_capacity: usize,
         shard_depths: &[usize],
     ) -> String {
@@ -252,35 +253,26 @@ impl ServerMetrics {
         );
         single(
             &mut out,
-            "webssari_queue_depth",
-            "gauge",
-            "Connections waiting for a worker.",
-            queue_depth,
-        );
-        single(
-            &mut out,
             "webssari_queue_capacity",
             "gauge",
-            "Bounded queue capacity; beyond it requests are shed.",
+            "Summed dispatch-shard capacity; beyond a full shard requests are shed.",
             queue_capacity,
         );
         single(
             &mut out,
             "webssari_queue_rejected_total",
             "counter",
-            "Connections answered 429 because the queue was full.",
+            "Requests answered 429 because their dispatch shard was full.",
             load(&self.rejected_total),
         );
-        if !shard_depths.is_empty() {
-            labeled(
-                &mut out,
-                "webssari_shard_queue_depth",
-                "gauge",
-                "Requests waiting in each event-mode dispatch shard.",
-                "shard",
-                shard_depths.iter().enumerate(),
-            );
-        }
+        labeled(
+            &mut out,
+            "webssari_shard_queue_depth",
+            "gauge",
+            "Requests waiting in each dispatch shard.",
+            "shard",
+            shard_depths.iter().enumerate(),
+        );
 
         labeled(
             &mut out,
@@ -439,7 +431,7 @@ mod tests {
         m.record("/verify", 400, Duration::from_millis(1));
         m.record_rejected();
         m.set_connection_gauges(5, 3);
-        let text = m.render_prometheus(&EngineSnapshot::default(), 2, 8, &[1, 0]);
+        let text = m.render_prometheus(&EngineSnapshot::default(), 8, &[1, 0]);
         assert!(text.contains("webssari_http_connections_total 1"));
         assert!(text.contains("webssari_http_requests_total{path=\"/verify\",status=\"200\"} 1"));
         assert!(text.contains("webssari_http_requests_total{path=\"/verify\",status=\"400\"} 1"));
@@ -447,7 +439,7 @@ mod tests {
         assert!(text.contains("webssari_http_requests_in_flight 0"));
         assert!(text.contains("webssari_http_connections_open 5"));
         assert!(text.contains("webssari_http_connections_idle 3"));
-        assert!(text.contains("webssari_queue_depth 2"));
+        assert!(!text.contains("webssari_queue_depth"));
         assert!(text.contains("webssari_queue_capacity 8"));
         assert!(text.contains("webssari_queue_rejected_total 1"));
         assert!(text.contains("webssari_shard_queue_depth{shard=\"0\"} 1"));
@@ -464,7 +456,7 @@ mod tests {
         m.record("/verify", 200, Duration::from_millis(40)); // <= 0.05
         m.request_started();
         m.record("/verify", 200, Duration::from_secs(60)); // +Inf only
-        let text = m.render_prometheus(&EngineSnapshot::default(), 0, 1, &[]);
+        let text = m.render_prometheus(&EngineSnapshot::default(), 1, &[]);
         let counts: Vec<u64> = text
             .lines()
             .filter(|l| {
@@ -489,8 +481,24 @@ mod tests {
             "webssari_http_request_duration_seconds_bucket{path=\"/verify\",le=\"0.05\"} 2"
         ));
         assert!(text.contains("webssari_http_request_duration_seconds_count{path=\"/verify\"} 3"));
-        // No shard gauges when no shards were passed.
-        assert!(!text.contains("webssari_shard_queue_depth"));
+        // No shard samples when no shards were passed.
+        assert!(!text.contains("webssari_shard_queue_depth{"));
+    }
+
+    #[test]
+    fn sub_millisecond_latencies_get_their_own_buckets() {
+        let m = ServerMetrics::new();
+        m.request_started();
+        m.record("/verify", 200, Duration::from_micros(80)); // <= 0.0001
+        m.request_started();
+        m.record("/verify", 200, Duration::from_micros(400)); // <= 0.0005
+        let text = m.render_prometheus(&EngineSnapshot::default(), 1, &[]);
+        for (bound, count) in [("0.00005", 0), ("0.0001", 1), ("0.00025", 1), ("0.0005", 2)] {
+            let line = format!(
+                "webssari_http_request_duration_seconds_bucket{{path=\"/verify\",le=\"{bound}\"}} {count}"
+            );
+            assert!(text.contains(&line), "missing {line}");
+        }
     }
 
     /// Every engine family, rendered from a snapshot whose counters
@@ -537,7 +545,7 @@ mod tests {
             verify_micros: 11_000_012,
             work,
         };
-        let text = ServerMetrics::new().render_prometheus(&snap, 0, 4, &[]);
+        let text = ServerMetrics::new().render_prometheus(&snap, 4, &[]);
         let start = text
             .find("# HELP webssari_engine_batches_total")
             .expect("engine families are rendered");
@@ -642,7 +650,7 @@ webssari_engine_flow_total{kind="contexts_cloned"} 35
             work,
             ..EngineSnapshot::default()
         };
-        let text = m.render_prometheus(&snap, 0, 4, &[]);
+        let text = m.render_prometheus(&snap, 4, &[]);
         assert!(text.contains("webssari_engine_cache_hits_total 3"));
         assert!(text.contains("webssari_engine_cache_evictions_total 2"));
         assert!(text.contains("webssari_engine_cache_hit_ratio 0.75"));

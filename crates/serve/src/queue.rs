@@ -1,9 +1,10 @@
 //! A bounded MPMC work queue with load shedding.
 //!
-//! The accept loop pushes connections with [`BoundedQueue::try_push`];
-//! when the queue is at capacity the push fails *immediately* and the
-//! caller sheds load (HTTP 429 + `Retry-After`) instead of letting an
-//! unbounded backlog build. Workers block on [`BoundedQueue::pop`],
+//! The event loop pushes parsed requests with
+//! [`BoundedQueue::try_push`]; when the queue is at capacity the push
+//! fails *immediately* and the caller sheds load (HTTP 429 +
+//! `Retry-After`) instead of letting an unbounded backlog build.
+//! Workers block on [`BoundedQueue::pop`],
 //! which drains remaining items after [`BoundedQueue::close`] and only
 //! then returns `None` — exactly the graceful-shutdown order the
 //! daemon needs.
@@ -11,7 +12,7 @@
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, PoisonError};
 
-/// A fixed-capacity FIFO shared between the accept loop and workers.
+/// A fixed-capacity FIFO shared between the event loop and a worker.
 #[derive(Debug)]
 pub struct BoundedQueue<T> {
     state: Mutex<State<T>>,

@@ -52,12 +52,10 @@ fn healthz(state: &AppState) -> Response {
 
 fn metrics(state: &AppState) -> Response {
     let snapshot = state.engine.snapshot();
-    let text = state.metrics.render_prometheus(
-        &snapshot,
-        state.queue.len(),
-        state.queue.capacity(),
-        &state.shard_depths(),
-    );
+    let text =
+        state
+            .metrics
+            .render_prometheus(&snapshot, state.queue_capacity(), &state.shard_depths());
     Response::new(200)
         .header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
         .with_body(text.into_bytes())
@@ -413,7 +411,9 @@ mysql_query($query);
         assert!(text.contains("webssari_engine_cache_misses_total 1"));
         assert!(text.contains("webssari_engine_files_total{outcome=\"vulnerable\"} 1"));
         assert!(text.contains("webssari_engine_cache_evictions_total 0"));
-        // Event mode: one depth gauge per dispatch shard.
+        // The default 64-deep queue splits 16 per shard over 4 shards;
+        // the capacity gauge sums them, and each shard has a depth gauge.
+        assert!(text.contains("webssari_queue_capacity 64"));
         for shard in 0..state.shard_queues.len() {
             assert!(text.contains(&format!(
                 "webssari_shard_queue_depth{{shard=\"{shard}\"}} 0"
@@ -441,7 +441,8 @@ mysql_query($query);
         // request must produce the same bytes (modulo wall_ms).
         let fast = try_verify_cached(&state, &req).expect("cached after first run");
         let (_, slow) = route(&state, &req);
-        assert_eq!(fast.status, 200);
+        assert_eq!(fast.status, slow.status);
+        assert_eq!(fast.headers, slow.headers);
         assert_eq!(strip_wall(&fast.body), strip_wall(&slow.body));
         let v = body_json(&fast);
         assert_eq!(v.get("from_cache"), Some(&Value::Bool(true)));

@@ -6,11 +6,11 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use jsonio::Value;
 use webssari_engine::EngineBuilder;
-use webssari_serve::{ServeMode, Server, ServerConfig, ServerHandle};
+use webssari_serve::{AppState, Server, ServerConfig, ServerHandle};
 
 /// The README's vulnerable quickstart snippet.
 const SQLI: &str = r#"<?php
@@ -264,37 +264,65 @@ fn exhausted_budget_returns_well_formed_timeout_json() {
     server.shutdown().expect("graceful shutdown");
 }
 
+/// Polls the server state until `ready` holds; panics after 30 s so a
+/// broken sequencing step fails instead of hanging the suite.
+fn wait_for(state: &AppState, what: &str, ready: impl Fn(&AppState) -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !ready(state) {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 #[test]
 fn full_queue_sheds_with_429_and_retry_after() {
-    // The legacy threaded core: idle connections pin its workers, so
-    // two of them are enough to fill the depth-1 queue.
+    // One dispatch shard holding one request: a busy worker plus one
+    // queued request fill it.
     let server = start(ServerConfig {
         http_workers: 1,
         queue_depth: 1,
-        mode: ServeMode::Threaded,
         ..ServerConfig::default()
     });
     let addr = server.local_addr();
+    let state = std::sync::Arc::clone(server.state());
 
-    // Two idle connections: one parks the single worker mid-read, the
-    // other fills the depth-1 queue.
-    let idle1 = TcpStream::connect(addr).expect("connect idle");
-    std::thread::sleep(Duration::from_millis(150));
-    let idle2 = TcpStream::connect(addr).expect("connect idle");
-    std::thread::sleep(Duration::from_millis(100));
+    // A cold batch of branchy files keeps the single worker busy in
+    // the engine far longer than the few milliseconds the steps below
+    // take.
+    let files: Vec<String> = (0..40)
+        .map(|i| {
+            let mut source = format!("<?php $a{i} = $_GET['a'];");
+            for j in 0..8 {
+                source.push_str(&format!(
+                    " if ($_GET['c{j}']) {{ $a{i} = $a{i} . $_POST['p{j}']; }}"
+                ));
+            }
+            source.push_str(&format!(" echo $a{i}; mysql_query($a{i});"));
+            format!("{{\"name\": \"busy{i}.php\", \"source\": \"{source}\"}}")
+        })
+        .collect();
+    let batch = format!("{{\"files\": [{}]}}", files.join(","));
+    let busy = std::thread::spawn(move || post(addr, "/batch", "", &batch));
+    wait_for(&state, "the batch to start", |s| {
+        s.engine.snapshot().jobs_in_flight >= 1
+    });
 
+    // The second request waits in the shard's only slot.
+    let queued = std::thread::spawn(move || get(addr, "/healthz"));
+    wait_for(&state, "the queued request", |s| s.shard_depths() == [1]);
+
+    // The third finds the shard full and is shed at once.
     let shed = get(addr, "/healthz");
     assert_eq!(status_of(&shed), 429, "response: {shed:?}");
     assert!(shed.contains("Retry-After: 1\r\n"));
 
-    // Closing the idle connections frees the worker; service resumes.
-    drop(idle1);
-    drop(idle2);
-    std::thread::sleep(Duration::from_millis(100));
-    assert_eq!(status_of(&get(addr, "/healthz")), 200);
-
+    // Once the batch finishes, the queued request is served and
+    // service resumes.
+    assert_eq!(status_of(&busy.join().unwrap()), 200);
+    assert_eq!(status_of(&queued.join().unwrap()), 200);
     let metrics = get(addr, "/metrics");
-    assert!(metrics.contains("webssari_queue_rejected_total 1"));
+    assert!(metrics.contains("webssari_queue_rejected_total 1\n"));
+    assert!(metrics.contains("webssari_queue_capacity 1\n"));
     server.shutdown().expect("graceful shutdown");
 }
 
@@ -587,29 +615,4 @@ fn latency_histogram_buckets_are_monotone_end_to_end() {
     }
     assert_eq!(paths_seen, 2);
     server.shutdown().expect("graceful shutdown");
-}
-
-#[test]
-fn warm_responses_are_identical_across_serve_modes() {
-    // The event loop answers warm `/verify` hits inline; the threaded
-    // mode goes through the worker path. Same request, same bytes.
-    let mut bodies = Vec::new();
-    for mode in [ServeMode::Threaded, ServeMode::default_for_platform()] {
-        let server = start(ServerConfig {
-            mode,
-            ..ServerConfig::default()
-        });
-        let addr = server.local_addr();
-        let cold = post(addr, "/verify?file=same.php", "", SQLI);
-        assert_eq!(status_of(&cold), 200);
-        let warm = post(addr, "/verify?file=same.php", "", SQLI);
-        assert_eq!(status_of(&warm), 200);
-        let v = json_of(&warm);
-        assert_eq!(v.get("from_cache"), Some(&Value::Bool(true)));
-        let body = body_of(&warm);
-        let cut = body.rfind(",\"wall_ms\"").expect("wall_ms field");
-        bodies.push(body[..cut].to_owned());
-        server.shutdown().expect("graceful shutdown");
-    }
-    assert_eq!(bodies[0], bodies[1]);
 }
